@@ -132,10 +132,7 @@ def render_doc(doc: dict) -> str:
         absent = [k for k, v in versions.items() if v is None]
         if absent:
             ver_txt += "; absent: " + ", ".join(absent)
-        backend_txt = prov.get("backend", "?")
-        if prov.get("backend_native") is False:
-            backend_txt += f" (fallback: {prov.get('backend_fallback_reason')})"
-        lines.append(f"  environment: backend={backend_txt}  {ver_txt}")
+        lines.append(f"  environment: {ver_txt}")
         if prov.get("cpu"):
             lines.append(f"  cpu: {prov['cpu']} ({prov.get('platform', '?')})")
     errored = [p for p in doc["points"] if "error" in p]

@@ -155,20 +155,6 @@ REGISTRY: dict[str, BenchSpec] = {
         _pts(pipeline=["dk3d"], n=[32, 128, 512, 2048])
         + _pts(pipeline=["kirkpatrick"], n=[64, 256, 1024, 4096]),
     ),
-    # E12 reruns E1/E2/E11 pipelines under every registered kernel backend
-    # (alphabetical, so each group's points ascend); non-native backends
-    # measure their numpy fallback — provenance records which is which
-    "e12_backends": BenchSpec(
-        "bench_e12_backends", "sweep_run",
-        _pts(pipeline=["constrained"],
-             backend=["array_api", "cffi", "numba", "numpy"], size=[8, 10, 12])
-        + _pts(pipeline=["construct"],
-               backend=["array_api", "cffi", "numba", "numpy"],
-               size=[64, 256, 1024])
-        + _pts(pipeline=["hierdag"],
-               backend=["array_api", "cffi", "numba", "numpy"], size=[8, 10, 12]),
-        setup="sweep_setup",
-    ),
     # E13 fixes the structure and the query load; the sweep varies how the
     # batching front-end packs the load (throughput vs batch size, with
     # the flush deadline as the tail-latency floor)
@@ -232,28 +218,13 @@ def provenance() -> dict:
     """Environment identity stamped into every bench document.
 
     A ``wall_s_min`` column is meaningless without knowing *what* ran it:
-    which kernel backend the engine resolved (native or fallback), which
-    interpreter/library versions, and which CPU.  ``--compare`` baselines
-    from a different environment still compare, but the mismatch is now
-    visible in the JSON instead of silently attributed to the code.
+    which interpreter/library versions, and which CPU.  ``--compare``
+    baselines from a different environment still compare, but the
+    mismatch is now visible in the JSON instead of silently attributed
+    to the code.
     """
-    from repro.mesh.backend import resolve_backend
-
-    backend = resolve_backend(None)
-    versions: dict[str, str | None] = {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-    for lib in ("numba", "cffi"):
-        try:
-            versions[lib] = importlib.import_module(lib).__version__
-        except Exception:  # ImportError, or a broken install — record absence
-            versions[lib] = None
     return {
-        "backend": backend.name,
-        "backend_native": backend.native,
-        "backend_fallback_reason": backend.fallback_reason,
-        "versions": versions,
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "platform": sys.platform,
         "cpu": _cpu_model(),
     }

@@ -40,9 +40,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.mesh.backend import KernelBackend, resolve_backend
 from repro.mesh.clock import CostModel, StepClock
 from repro.mesh.faults import invariant, paranoid_default
+from repro.mesh.kernels import REDUCERS, gather, identity, scatter, segmented_scan
 from repro.mesh.records import ArgsortMemo, BufferPool, RecordSet
 from repro.mesh.topology import MeshShape, RegionSpec
 
@@ -59,12 +59,6 @@ def fast_path_default() -> bool:
     """
     val = os.environ.get("REPRO_FAST_PATH", "1").strip().lower()
     return val not in ("0", "false", "off", "no", "")
-
-_REDUCERS = {
-    "add": np.add,
-    "min": np.minimum,
-    "max": np.maximum,
-}
 
 
 class CapacityError(RuntimeError):
@@ -108,7 +102,6 @@ class MeshEngine:
         capacity: int = 16,
         fast_path: bool | None = None,
         paranoid: bool | None = None,
-        backend: "str | KernelBackend | None" = None,
     ) -> None:
         if isinstance(shape, int):
             shape = MeshShape.square(shape)
@@ -132,12 +125,6 @@ class MeshEngine:
         #: paranoid checks, so injected faults are caught at the earliest
         #: boundary a validator covers.
         self.faults = None
-        #: host kernel backend under every primitive (numpy / cffi / numba /
-        #: array_api; see :mod:`repro.mesh.backend`).  Selected per engine
-        #: via ``backend=`` or process-wide via ``REPRO_BACKEND``; every
-        #: backend is byte-identical to the numpy reference, so this is a
-        #: wall-clock knob only — charges and outputs never change.
-        self.backend = resolve_backend(backend)
         self.argsort_memo = ArgsortMemo()
         self.pool = BufferPool()
         self.root = Region(self, RegionSpec(0, 0, shape.rows, shape.cols))
@@ -150,7 +137,6 @@ class MeshEngine:
         capacity: int = 16,
         fast_path: bool | None = None,
         paranoid: bool | None = None,
-        backend: "str | KernelBackend | None" = None,
     ) -> "MeshEngine":
         """Smallest square engine whose mesh holds an ``n``-record problem."""
         return cls(
@@ -158,7 +144,6 @@ class MeshEngine:
             capacity=capacity,
             fast_path=fast_path,
             paranoid=paranoid,
-            backend=backend,
         )
 
     @property
@@ -458,18 +443,17 @@ class Region:
         """Stable argsort, memoized under ``fast_path``.
 
         The memo's guard is a value-equality check, so a hit replays the
-        exact permutation the backend would recompute (the stable
-        permutation is unique, hence backend-independent); memoized orders
-        are returned read-only to keep later hits honest.
+        exact permutation a fresh argsort would compute (the stable
+        permutation is unique); memoized orders are returned read-only to
+        keep later hits honest.
         """
-        backend = self.engine.backend
         if self.engine.fast_path:
             memo = self.engine.argsort_memo
             before = memo.hits
-            order = memo.order_for(np.asarray(keys), compute=backend.stable_argsort)
+            order = memo.order_for(np.asarray(keys))
             self._note_memo(memo, before)
             return order
-        return backend.stable_argsort(np.asarray(keys))
+        return np.argsort(np.asarray(keys), kind="stable")
 
     def argsort(self, keys: np.ndarray, label: str = "sort") -> np.ndarray:
         """Stable sort permutation of the records by key (cost: optimal sort)."""
@@ -490,9 +474,8 @@ class Region:
         n = self._check_records(keys, *arrays)
         self._charge(self.engine.clock.cost.sort, label, volume=n)
         order = self._stable_order(keys)
-        backend = self.engine.backend
-        out = [backend.take_live(np.asarray(keys), order)]
-        out.extend(backend.take_live(np.asarray(a), order) for a in arrays)
+        out = [np.asarray(keys)[order]]
+        out.extend(np.asarray(a)[order] for a in arrays)
         if self.engine.faults is not None:
             out[0] = self.engine.faults.on_sort_keys(out[0], label)
         if self.engine.paranoid:
@@ -504,13 +487,12 @@ class Region:
         its fields with a single fancy-index per dtype block."""
         n = self._check_records(*rs.arrays())
         self._charge(self.engine.clock.cost.sort, label, volume=n)
-        backend = self.engine.backend
         memo = self.engine.argsort_memo if self.engine.fast_path else None
         before = memo.hits if memo is not None else 0
-        order = rs.argsort(key, memo=memo, backend=backend)
+        order = rs.argsort(key, memo=memo)
         if memo is not None:
             self._note_memo(memo, before)
-        sorted_rs = rs.permute(order, backend=backend)
+        sorted_rs = rs.permute(order)
         if self.engine.faults is not None:
             keys_view = np.asarray(sorted_rs.field(key))
             perturbed = self.engine.faults.on_sort_keys(keys_view, label)
@@ -542,10 +524,8 @@ class Region:
         targets = dest[live]
         _check_route_targets(targets, out_size)
         self._charge(self.engine.clock.cost.route, label, volume=n)
-        backend = self.engine.backend
         outs: list[np.ndarray] = [
-            backend.scatter(np.asarray(a), dest, out_size, fill=fill)
-            for a in arrays
+            scatter(np.asarray(a), dest, out_size, fill=fill) for a in arrays
         ]
         if self.engine.faults is not None:
             self.engine.faults.on_route_payload(outs, targets, label)
@@ -571,7 +551,7 @@ class Region:
         targets = dest[live]
         _check_route_targets(targets, out_size)
         self._charge(self.engine.clock.cost.route, label, volume=n)
-        routed = rs.scatter(dest, out_size, fill=fill, backend=self.engine.backend)
+        routed = rs.scatter(dest, out_size, fill=fill)
         if self.engine.faults is not None:
             self.engine.faults.on_route_payload(
                 [np.asarray(routed.field(name)) for name in routed.names],
@@ -608,13 +588,12 @@ class Region:
             self._check_records(np.asarray(t))
         self._charge(self.engine.clock.cost.route, label, volume=n)
         live = addresses >= 0
-        backend = self.engine.backend
         outs: list[np.ndarray] = []
         for t in tables:
             t = np.asarray(t)
             if live.any() and int(addresses[live].max()) >= t.shape[0]:
                 raise ValueError("rar address out of range")
-            outs.append(backend.take(t, addresses, fill=fill))
+            outs.append(gather(t, addresses, fill=fill))
         return tuple(outs)
 
     def rar_records(
@@ -632,7 +611,7 @@ class Region:
         live = addresses >= 0
         if live.any() and int(addresses[live].max()) >= table.n:
             raise ValueError("rar address out of range")
-        return table.take(addresses, fill=fill, backend=self.engine.backend)
+        return table.take(addresses, fill=fill)
 
     def raw(
         self,
@@ -652,13 +631,12 @@ class Region:
         n = self._check_records(addresses, values)
         if size > self.size * self.engine.capacity:
             raise CapacityError(f"raw output {size} exceeds region capacity")
-        if combine not in _REDUCERS:
+        if combine not in REDUCERS:
             raise ValueError(f"unknown combine {combine!r}")
         self._charge(self.engine.clock.cost.route, label, volume=n)
         live = addresses >= 0
         if live.any() and int(addresses[live].max()) >= size:
             raise ValueError("raw address out of range")
-        backend = self.engine.backend
         if combine == "add":
             idx = addresses[live]
             vals = values[live]
@@ -668,27 +646,23 @@ class Region:
                 and vals.dtype.kind in "iu"
                 and (
                     vals.size == 0
-                    or int(np.abs(vals).max()) * vals.size < 2**53
+                    # Python ints: np.abs(INT64_MIN) wraps back negative
+                    or max(-int(vals.min()), int(vals.max())) * vals.size < 2**53
                 )
             ):
                 # add.at is unbuffered and slow; a weighted bincount is
                 # the same combining write.  It accumulates in float64,
                 # which is exact while |sum| stays below 2**53 — guarded
                 # above, so the int cast back is lossless.
-                out = backend.bincount_add(idx, vals, size).astype(values.dtype)
+                out = np.bincount(idx, weights=vals, minlength=size).astype(values.dtype)
                 if fill:
                     out += values.dtype.type(fill)
             else:
                 out = np.full(size, fill, dtype=values.dtype)
-                backend.add_at(out, idx, vals)
+                np.add.at(out, idx, vals)
         else:
-            if values.dtype.kind == "f":
-                init = np.inf if combine == "min" else -np.inf
-            else:
-                info = np.iinfo(values.dtype)
-                init = info.max if combine == "min" else info.min
-            out = np.full(size, init, dtype=values.dtype)
-            backend.scatter_reduce_at(out, addresses[live], values[live], combine)
+            out = np.full(size, identity(values.dtype, combine), dtype=values.dtype)
+            REDUCERS[combine].at(out, addresses[live], values[live])
             if self.engine.fast_path:  # loop-local scratch: pooled, not returned
                 written = self.engine.pool.full(size, bool, False)
             else:
@@ -707,20 +681,15 @@ class Region:
         """Prefix combine in processor order (snake-order on a real mesh)."""
         values = np.asarray(values)
         n = self._check_records(values)
-        if op not in _REDUCERS:
+        if op not in REDUCERS:
             raise ValueError(f"unknown scan op {op!r}")
         self._charge(self.engine.clock.cost.scan, label, volume=n)
-        result = self.engine.backend.accumulate(values, op)
+        result = REDUCERS[op].accumulate(values)
         if inclusive:
             return result
         out = np.empty_like(result)
         out[1:] = result[:-1]
-        if op == "add":
-            out[0] = 0
-        elif op == "min":
-            out[0] = np.inf if values.dtype.kind == "f" else np.iinfo(values.dtype).max
-        else:
-            out[0] = -np.inf if values.dtype.kind == "f" else np.iinfo(values.dtype).min
+        out[:1] = 0 if op == "add" else identity(values.dtype, op)  # [:1]: n may be 0
         return out
 
     def segmented_scan(
@@ -742,28 +711,25 @@ class Region:
         values = np.asarray(values)
         segments = np.asarray(segments)
         vol = self._check_records(values, segments)
-        if op not in _REDUCERS:
+        if op not in REDUCERS:
             raise ValueError(f"unknown segmented_scan op {op!r}")
         self._charge(self.engine.clock.cost.scan, label, volume=vol)
-        # the kernel itself (cumsum-offset add; rank-trick min/max in the
-        # reference, single-pass loops in compiled backends) lives behind
-        # the backend interface — the mesh simulation whose cost was just
-        # charged is the standard carried-id scan either way.  (NaN values
-        # are not supported — the reference's ranks order them arbitrarily.)
-        return self.engine.backend.segmented_scan(values, segments, op, inclusive)
+        return segmented_scan(values, segments, op, inclusive)
 
     def reduce(self, values: np.ndarray, op: str = "add", label: str = "reduce"):
         """Global reduction; the scalar result is visible to all processors."""
         values = np.asarray(values)
         n = self._check_records(values)
-        if op not in _REDUCERS:
+        if op not in REDUCERS:
             raise ValueError(f"unknown reduce op {op!r}")
         self._charge(self.engine.clock.cost.scan, label, volume=n)
         if values.size == 0:
             if op == "add":
                 return values.dtype.type(0)
             raise ValueError("min/max reduce of empty array")
-        return self.engine.backend.reduce(values, op)
+        if op == "add":
+            return values.sum()
+        return values.min() if op == "min" else values.max()
 
     def broadcast(self, value, label: str = "broadcast"):
         """Deliver one word to every processor of the region."""
@@ -782,8 +748,7 @@ class Region:
         n = self._check_records(mask, *arrays)
         self._charge(self.engine.clock.cost.compress, label, volume=n)
         count = int(mask.sum())
-        backend = self.engine.backend
-        return (count, *(backend.compress(mask, np.asarray(a)) for a in arrays))
+        return (count, *(np.asarray(a)[mask] for a in arrays))
 
     def compress_records(
         self, mask: np.ndarray, rs: RecordSet, label: str = "compress"
@@ -792,5 +757,5 @@ class Region:
         mask = np.asarray(mask, dtype=bool)
         n = self._check_records(mask, *rs.arrays())
         self._charge(self.engine.clock.cost.compress, label, volume=n)
-        packed = rs.select(mask, backend=self.engine.backend)
+        packed = rs.select(mask)
         return packed.n, packed

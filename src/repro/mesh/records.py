@@ -32,6 +32,8 @@ import weakref
 
 import numpy as np
 
+from repro.mesh.kernels import gather, scatter
+
 __all__ = [
     "RecordSet",
     "ArgsortMemo",
@@ -163,7 +165,7 @@ class RecordSet:
             for name, a, vdt in cols:
                 width = 1 if a.ndim == 1 else a.shape[1]
                 self._where[name] = (dtype, c, width, a.shape[1:], vdt)
-                parts.append(a.reshape(n, -1).view(dtype))
+                parts.append(a.reshape(n, width).view(dtype))
                 c += width
             self._blocks[dtype] = (
                 np.ascontiguousarray(parts[0])
@@ -246,101 +248,55 @@ class RecordSet:
                 "a raw word shared by int and bit-cast float fields)"
             )
 
-    def permute(self, order: np.ndarray, backend=None) -> "RecordSet":
+    def permute(self, order: np.ndarray) -> "RecordSet":
         """Records reordered by ``order`` — one fancy-index per dtype block."""
-        order = np.asarray(order)
-        if backend is None:
-            blocks = {dt: blk[order] for dt, blk in self._blocks.items()}
-        else:
-            blocks = {
-                dt: backend.take_live(blk, order) for dt, blk in self._blocks.items()
-            }
-        return self._like(blocks, int(order.shape[0]))
+        return self.take_live(order)
 
-    def select(self, mask: np.ndarray, backend=None) -> "RecordSet":
+    def select(self, mask: np.ndarray) -> "RecordSet":
         """Records where ``mask`` is true, packed (the ``compress`` body)."""
         mask = np.asarray(mask, dtype=bool)
-        if backend is None:
-            blocks = {dt: blk[mask] for dt, blk in self._blocks.items()}
-            n = int(mask.sum())
-        else:
-            blocks = {
-                dt: backend.compress(mask, blk) for dt, blk in self._blocks.items()
-            }
-            n = next(iter(blocks.values())).shape[0] if blocks else int(mask.sum())
-        return self._like(blocks, n)
+        blocks = {dt: blk[mask] for dt, blk in self._blocks.items()}
+        return self._like(blocks, int(mask.sum()))
 
-    def take(self, idx: np.ndarray, fill=0, backend=None) -> "RecordSet":
+    def take(self, idx: np.ndarray, fill=0) -> "RecordSet":
         """Gather ``result[i] = records[idx[i]]``; ``idx == -1`` yields fill.
 
-        This is the ``rar`` body: one fancy-index per dtype block, with the
+        This is the ``rar`` body: one gather per dtype block, with the
         fill applied once per block instead of once per field.
         """
         idx = np.asarray(idx, dtype=np.int64)
-        live = idx >= 0
-        if live.all():
-            return self.take_live(idx, backend=backend)
+        if (idx >= 0).all():
+            return self.take_live(idx)
         self._check_fill(fill)
-        blocks: dict[np.dtype, np.ndarray] = {}
-        if backend is None:
-            safe = np.where(live, idx, 0)
-            dead = ~live
-            for dt, blk in self._blocks.items():
-                out = blk[safe]
-                out[dead] = fill
-                blocks[dt] = out
-        else:
-            for dt, blk in self._blocks.items():
-                blocks[dt] = backend.take(blk, idx, fill=fill)
+        blocks = {dt: gather(blk, idx, fill=fill) for dt, blk in self._blocks.items()}
         return self._like(blocks, int(idx.shape[0]))
 
-    def take_live(self, idx: np.ndarray, backend=None) -> "RecordSet":
+    def take_live(self, idx: np.ndarray) -> "RecordSet":
         """:meth:`take` for callers that guarantee every index is in range.
 
         Skips the liveness mask and fill pass — just the row gathers.
         """
-        if backend is None:
-            blocks = {dt: blk[idx] for dt, blk in self._blocks.items()}
-        else:
-            blocks = {
-                dt: backend.take_live(blk, idx) for dt, blk in self._blocks.items()
-            }
-        return self._like(blocks, int(np.asarray(idx).shape[0]))
+        idx = np.asarray(idx)
+        blocks = {dt: blk[idx] for dt, blk in self._blocks.items()}
+        return self._like(blocks, int(idx.shape[0]))
 
-    def scatter(self, dest: np.ndarray, size: int, fill=0, backend=None) -> "RecordSet":
+    def scatter(self, dest: np.ndarray, size: int, fill=0) -> "RecordSet":
         """Route record *i* to slot ``dest[i]``; ``-1`` discards (``route`` body)."""
         self._check_fill(fill)
         dest = np.asarray(dest, dtype=np.int64)
-        blocks: dict[np.dtype, np.ndarray] = {}
-        if backend is None:
-            live = dest >= 0
-            targets = dest[live]
-            for dt, blk in self._blocks.items():
-                out = np.full((size, blk.shape[1]), fill, dtype=dt)
-                out[targets] = blk[live]
-                blocks[dt] = out
-        else:
-            for dt, blk in self._blocks.items():
-                blocks[dt] = backend.scatter(blk, dest, size, fill=fill)
+        blocks = {
+            dt: scatter(blk, dest, size, fill=fill) for dt, blk in self._blocks.items()
+        }
         return self._like(blocks, size)
 
-    def argsort(
-        self, name: str, memo: "ArgsortMemo | None" = None, backend=None
-    ) -> np.ndarray:
-        """Stable argsort by one field, memoized on (field, version).
-
-        The stable permutation is unique, so the memo key need not name
-        the backend that computed it.
-        """
+    def argsort(self, name: str, memo: "ArgsortMemo | None" = None) -> np.ndarray:
+        """Stable argsort by one field, memoized on (field, version)."""
         key = ("recordset", id(self), name, self.version)
         if memo is not None:
             hit = memo.lookup(key)
             if hit is not None:
                 return hit
-        if backend is None:
-            order = np.argsort(self.field(name), kind="stable")
-        else:
-            order = backend.stable_argsort(self.field(name))
+        order = np.argsort(self.field(name), kind="stable")
         if memo is not None:
             order.setflags(write=False)  # shared on later hits — keep it honest
             memo.store(key, order)
@@ -377,13 +333,8 @@ class ArgsortMemo:
         self.misses += 1
         ArgsortMemo.total_misses += 1
 
-    def order_for(self, keys: np.ndarray, compute=None) -> np.ndarray:
-        """Stable argsort of ``keys``, served from the memo when possible.
-
-        ``compute`` is the argsort kernel to run on a miss (a backend's
-        ``stable_argsort``); the stable permutation is unique, so hits
-        are valid whichever backend stored them.
-        """
+    def order_for(self, keys: np.ndarray) -> np.ndarray:
+        """Stable argsort of ``keys``, served from the memo when possible."""
         keys = np.asarray(keys)
         key = ("array", id(keys), keys.dtype.str, keys.shape)
         slot = self._slots.get(key)
@@ -394,10 +345,7 @@ class ArgsortMemo:
                 self._slots[key] = self._slots.pop(key)  # refresh LRU position
                 return order
         self._miss()
-        if compute is None:
-            order = np.argsort(keys, kind="stable")
-        else:
-            order = compute(keys)
+        order = np.argsort(keys, kind="stable")
         order.setflags(write=False)  # shared on later hits — keep it honest
         self.store(key, order, guard=keys.copy())
         return order

@@ -249,7 +249,7 @@ class Tracer:
         Engine internals use this for annotations that explain wall time
         without touching the step accounting — e.g. ``argsort-memo:hit``
         vs ``argsort-memo:miss``, which attribute a fast sort to
-        memoization rather than the kernel backend.
+        memoization rather than the sort kernel.
         """
         node = self._stack[-1]
         node.events[name] = node.events.get(name, 0) + count

@@ -1,5 +1,7 @@
 """Unit tests for the parallel benchmark runner (repro.bench.runner)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,11 +201,9 @@ class TestRunPoint:
 class TestProvenance:
     def test_schema(self):
         prov = provenance()
-        assert prov["backend"]  # resolved default backend name
-        assert isinstance(prov["backend_native"], bool)
+        assert set(prov) == {"versions", "platform", "cpu"}
         versions = prov["versions"]
         assert versions["python"] and versions["numpy"]
-        assert "numba" in versions and "cffi" in versions  # None when absent
         assert prov["platform"]
 
     def test_stamped_into_bench_doc(self):
@@ -219,8 +219,19 @@ class TestProvenance:
             "points": [],
         }
         text = render_doc(doc)
-        assert "environment: backend=" in text
+        assert "environment: " in text
         assert "numpy" in text
+
+    def test_committed_blobs_with_legacy_keys_still_render(self):
+        # blobs written before the kernel layer was retired carry extra
+        # provenance keys; rendering must not depend on them
+        from repro.bench.report import render_doc
+
+        doc = json.loads((runner.REPO_ROOT / "BENCH_e15_sharded.json").read_text())
+        assert "backend" in doc["provenance"]
+        text = render_doc(doc)
+        assert "environment: python" in text
+        assert "cpu: " in text
 
 
 class TestMain:

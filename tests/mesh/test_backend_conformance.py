@@ -1,54 +1,36 @@
-"""Backend conformance: every registered backend vs the numpy reference.
+"""Host-kernel conformance against an array-API reference.
 
-The kernel interface's contract is *byte identity*: for every kernel and
-every input the engine can produce, a backend's output must match the
-:class:`~repro.mesh.backend.NumpyBackend` reference in dtype, shape, and
-bit pattern.  This suite drives each registered backend over an
-adversarial input battery — empty arrays, tied keys (including ``-0.0``
+The host kernels under the engine primitives and the fused
+:class:`~repro.mesh.records.RecordSet` methods are numpy; their contract
+is *byte identity* with the reference behaviour, because every committed
+step count and answer rests on it.  This suite drives each kernel through
+both of its call sites — the per-array :class:`~repro.mesh.engine.Region`
+primitive and the per-dtype-block ``RecordSet`` method — over an
+adversarial input battery: empty arrays, tied keys (including ``-0.0``
 vs ``0.0`` and all-equal runs), float infinities, int64 values that wrap
 the accumulator, max-capacity batches, and every dtype/block shape
-:class:`~repro.mesh.records.RecordSet` produces (1-D and 2-D int64,
-float64, bool) — and compares raw bits.
+``RecordSet`` produces (1-D and 2-D int64, float64, bool).  It compares
+dtype, shape and raw bits.
 
-Backends whose toolchain is missing in this environment register as
-numpy fallbacks (``native=False``); testing those would only re-test the
-reference against itself, so they skip with the recorded fallback
-reason (this is how the suite "skips cleanly when numba is
-unavailable").
+The reference is written only in array-API-standard calls on the
+namespace the input advertises (``xp.argsort(stable=True)``,
+``xp.take``, ``xp.where``, ``xp.nonzero``, ``xp.cumulative_sum``,
+``xp.sum``/``xp.min``/``xp.max``), with per-record loops where the
+standard has no primitive (scatter, combining writes, min/max scans).
+It is the ``array_api`` parameter in every test id.
 """
+
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.mesh.backend import get_backend, registered_backends
-
-REFERENCE = get_backend("numpy")
+from repro.mesh.engine import MeshEngine
+from repro.mesh.records import RecordSet
 
 #: side of the largest battery case: a full 16-records-per-processor
 #: batch on an 8x8 mesh, the engine's max-capacity shape
 MAX_CAPACITY = 16 * 8 * 8
-
-
-def _backend_params():
-    params = []
-    for name in registered_backends():
-        if name == "numpy":
-            continue  # the reference; comparing it to itself proves nothing
-        backend = get_backend(name)
-        marks = ()
-        if not backend.native:
-            marks = (
-                pytest.mark.skip(
-                    reason=f"{name} toolchain unavailable: {backend.fallback_reason}"
-                ),
-            )
-        params.append(pytest.param(name, marks=marks))
-    return params
-
-
-@pytest.fixture(params=_backend_params())
-def backend(request):
-    return get_backend(request.param)
 
 
 def assert_bits(got, want, context=""):
@@ -56,6 +38,128 @@ def assert_bits(got, want, context=""):
     assert got.dtype == want.dtype, f"{context}: dtype {got.dtype} != {want.dtype}"
     assert got.shape == want.shape, f"{context}: shape {got.shape} != {want.shape}"
     assert got.tobytes() == want.tobytes(), f"{context}: bit patterns differ"
+
+
+class ArrayApiReference:
+    """Each kernel's contract, spelled in array-API-standard calls."""
+
+    @staticmethod
+    def stable_argsort(keys):
+        xp = keys.__array_namespace__()
+        return xp.argsort(keys, stable=True)
+
+    @staticmethod
+    def take_live(table, idx):
+        xp = table.__array_namespace__()
+        return xp.take(table, idx, axis=0)
+
+    @staticmethod
+    def take(table, idx, fill=0):
+        xp = table.__array_namespace__()
+        live = idx >= 0
+        gathered = xp.take(table, xp.where(live, idx, xp.zeros_like(idx)), axis=0)
+        shape = (idx.shape[0],) + (1,) * (table.ndim - 1)
+        return xp.where(
+            xp.reshape(live, shape), gathered, xp.full((), fill, dtype=table.dtype)
+        )
+
+    @staticmethod
+    def scatter(values, dest, size, fill=0):
+        xp = values.__array_namespace__()
+        out = xp.full((size,) + values.shape[1:], fill, dtype=values.dtype)
+        for i in range(values.shape[0]):
+            if int(dest[i]) >= 0:
+                out[int(dest[i]), ...] = values[i, ...]
+        return out
+
+    @staticmethod
+    def compress(mask, values):
+        xp = values.__array_namespace__()
+        return xp.take(values, xp.nonzero(mask)[0], axis=0)
+
+    @staticmethod
+    def identity(dtype, op):
+        if dtype.kind == "f":
+            return np.inf if op == "min" else -np.inf
+        return np.iinfo(dtype).max if op == "min" else np.iinfo(dtype).min
+
+    @classmethod
+    def combine(cls, addresses, values, size, op, fill):
+        """Combining write in record order; adds start from ``fill`` and
+        int adds wrap mod 2**64; for min/max the latest of equal values
+        wins (visible on bit-distinct ``-0.0``/``0.0``) and untouched
+        slots hold ``fill``."""
+        xp = values.__array_namespace__()
+        start = fill if op == "add" else cls.identity(values.dtype, op)
+        out = xp.full(size, start, dtype=values.dtype)
+        written = xp.zeros(size, dtype=xp.bool)
+        for i in range(values.shape[0]):
+            a = int(addresses[i])
+            if a < 0:
+                continue
+            if op == "add":
+                out[a : a + 1] += values[i : i + 1]  # array add: wraps silently
+            elif (values[i] <= out[a]) if op == "min" else (values[i] >= out[a]):
+                out[a] = values[i]
+            written[a] = True
+        if op == "add":
+            return out
+        return xp.where(written, out, xp.full((), fill, dtype=values.dtype))
+
+    @classmethod
+    def scan(cls, values, op, inclusive):
+        """Plain prefix combine; ties among equal values take the latest."""
+        xp = values.__array_namespace__()
+        if op == "add":
+            inc = xp.cumulative_sum(values)
+        else:
+            inc = xp.empty_like(values)
+            for i in range(values.shape[0]):
+                v = values[i]
+                if i and not ((v <= inc[i - 1]) if op == "min" else (v >= inc[i - 1])):
+                    v = inc[i - 1]
+                inc[i] = v
+        if inclusive:
+            return inc
+        first = 0 if op == "add" else cls.identity(values.dtype, op)
+        return xp.concat([xp.full(min(1, values.shape[0]), first, dtype=values.dtype), inc[:-1]])
+
+    @classmethod
+    def segmented_scan(cls, values, segments, op, inclusive):
+        """``add`` is the global running sum minus its value just before
+        the segment start (not a per-segment restart: the float rounding
+        differs); ``max`` keeps the latest of equal values and ``min`` the
+        earliest; exclusive scans put the op's identity (0 for add) at
+        every segment start."""
+        xp = values.__array_namespace__()
+        n = values.shape[0]
+        starts = [i for i in range(n) if i == 0 or segments[i] != segments[i - 1]]
+        if op == "add":
+            running = xp.cumulative_sum(values)
+            offsets = xp.zeros_like(values)
+            for s, e in zip(starts, starts[1:] + [n]):
+                if s:
+                    offsets[s:e] = running[s - 1]
+            result = running - offsets
+            return result if inclusive else result - values
+        out = xp.empty_like(values)
+        best = None
+        for i in range(n):
+            if i in starts:
+                best = None
+            if not inclusive:
+                out[i] = cls.identity(values.dtype, op) if best is None else best
+            v = values[i]
+            if best is None or ((v >= best) if op == "max" else (v < best)):
+                best = v
+            if inclusive:
+                out[i] = best
+        return out
+
+    @staticmethod
+    def reduce(values, op):
+        xp = values.__array_namespace__()
+        return {"add": xp.sum, "min": xp.min, "max": xp.max}[op](values)
 
 
 def _value_battery():
@@ -86,185 +190,144 @@ def _value_battery():
 
 
 BATTERY = _value_battery()
-IDS = [tag for tag, _ in BATTERY]
+
+
+def _cases(accept=lambda values: True):
+    return pytest.mark.parametrize(
+        "tag,values",
+        [(tag, v) for tag, v in BATTERY if accept(v)],
+        ids=[tag for tag, v in BATTERY if accept(v)],
+    )
+
+
+#: sort keys are 1-D
+KEYS = _cases(lambda v: v.ndim == 1)
+#: combining writes and scans take 1-D numeric values
+NUMERIC = _cases(lambda v: v.ndim == 1 and v.dtype != bool)
+ALL = _cases()
 
 
 def _rng_for(tag):
-    return np.random.default_rng(abs(hash(tag)) % 2**32)
+    return np.random.default_rng(zlib.crc32(tag.encode()))
 
 
-@pytest.mark.parametrize("tag,values", BATTERY, ids=IDS)
+def _engines():
+    return [MeshEngine(8, fast_path=fast) for fast in (True, False)]
+
+
+# one reference today; the parameter keeps it named in every test id
+@pytest.fixture(params=[ArrayApiReference], ids=["array_api"])
+def reference(request):
+    return request.param
+
+
 class TestKernelConformance:
-    def test_stable_argsort(self, backend, tag, values):
-        if values.ndim != 1:
-            pytest.skip("argsort keys are 1-D")
-        order = backend.stable_argsort(values)
-        assert_bits(order, REFERENCE.stable_argsort(values), f"argsort[{tag}]")
+    @KEYS
+    def test_stable_argsort(self, reference, tag, values):
+        want = reference.stable_argsort(values)
+        for eng in _engines():
+            assert_bits(eng.root.argsort(values), want, f"argsort[{tag}]")
+            rs = RecordSet(key=values)
+            assert_bits(rs.argsort("key"), want, f"RecordSet.argsort[{tag}]")
+            (sorted_keys,) = eng.root.sort_records(rs, "key").arrays()
+            assert_bits(sorted_keys, values[want], f"sort_records[{tag}]")
         # stability, asserted directly: among tied keys, input order survives
         if values.size:
-            sorted_keys = values[order]
+            sorted_keys = values[want]
             tied = sorted_keys[1:] == sorted_keys[:-1]
-            assert not (tied & (order[1:] < order[:-1])).any(), (
+            assert not (tied & (want[1:] < want[:-1])).any(), (
                 f"argsort[{tag}] scrambles tied keys"
             )
 
-    def test_take_and_take_live(self, backend, tag, values):
+    @ALL
+    def test_take_and_take_live(self, reference, tag, values):
         n = values.shape[0]
         rng = _rng_for(tag)
         idx = rng.integers(0, max(n, 1), n).astype(np.int64)
         idx[rng.random(n) < 0.25] = -1
-        assert_bits(
-            backend.take(values, idx, fill=0),
-            REFERENCE.take(values, idx, fill=0),
-            f"take[{tag}]",
-        )
+        if n:
+            idx[0] = -1  # at least one fill slot
+        want = reference.take(values, idx, fill=0)
+        (got,) = MeshEngine(8).root.rar(idx, values)
+        assert_bits(got, want, f"rar[{tag}]")
+        (got,) = RecordSet(v=values).take(idx).arrays()
+        assert_bits(got, want, f"RecordSet.take[{tag}]")
         live = rng.permutation(n).astype(np.int64)
-        assert_bits(
-            backend.take_live(values, live),
-            REFERENCE.take_live(values, live),
-            f"take_live[{tag}]",
-        )
+        want = reference.take_live(values, live)
+        (got,) = RecordSet(v=values).take_live(live).arrays()
+        assert_bits(got, want, f"RecordSet.take_live[{tag}]")
+        (got,) = RecordSet(v=values).permute(live).arrays()
+        assert_bits(got, want, f"RecordSet.permute[{tag}]")
 
-    def test_scatter(self, backend, tag, values):
+    @ALL
+    def test_scatter(self, reference, tag, values):
         n = values.shape[0]
+        size = max(n, 1)
         rng = _rng_for(tag)
-        dest = rng.permutation(max(n, 1))[:n].astype(np.int64)
+        dest = rng.permutation(size)[:n].astype(np.int64)
         dest[rng.random(n) < 0.25] = -1
-        assert_bits(
-            backend.scatter(values, dest, max(n, 1), fill=0),
-            REFERENCE.scatter(values, dest, max(n, 1), fill=0),
-            f"scatter[{tag}]",
-        )
+        want = reference.scatter(values, dest, size, fill=0)
+        eng = MeshEngine(8)
+        (got,) = eng.root.route(dest, values, size=size)
+        assert_bits(got, want, f"route[{tag}]")
+        (got,) = eng.root.route_records(dest, RecordSet(v=values), size=size).arrays()
+        assert_bits(got, want, f"route_records[{tag}]")
 
-    def test_compress(self, backend, tag, values):
+    @ALL
+    def test_compress(self, reference, tag, values):
         n = values.shape[0]
+        eng = MeshEngine(8)
         for mask in (
             _rng_for(tag).random(n) < 0.5,
             np.ones(n, dtype=bool),
             np.zeros(n, dtype=bool),
         ):
-            assert_bits(
-                backend.compress(mask, values),
-                REFERENCE.compress(mask, values),
-                f"compress[{tag}]",
-            )
+            want = reference.compress(mask, values)
+            count, got = eng.root.compress(mask, values)
+            assert count == want.shape[0]
+            assert_bits(got, want, f"compress[{tag}]")
+            count, packed = eng.root.compress_records(mask, RecordSet(v=values))
+            assert count == want.shape[0]
+            assert_bits(packed.field("v"), want, f"compress_records[{tag}]")
 
-    def test_combining_writes(self, backend, tag, values):
-        if values.ndim != 1 or values.dtype == bool:
-            pytest.skip("combining writes take 1-D numeric values")
+    @NUMERIC
+    def test_combining_writes(self, reference, tag, values):
         n = values.shape[0]
         size = max(n // 2, 1)
-        idx = _rng_for(tag).integers(0, size, n).astype(np.int64)
-        if values.dtype.kind == "i":
-            assert_bits(
-                backend.bincount_add(idx, values, size),
-                REFERENCE.bincount_add(idx, values, size),
-                f"bincount[{tag}]",
-            )
-        got = np.zeros(size, dtype=values.dtype)
-        want = got.copy()
-        backend.add_at(got, idx, values)
-        REFERENCE.add_at(want, idx, values)
-        assert_bits(got, want, f"add_at[{tag}]")
-        for op in ("min", "max"):
-            fill = np.array(
-                np.inf if values.dtype.kind == "f" else np.iinfo(values.dtype).max
-            ).astype(values.dtype)
-            got = np.full(size, fill, dtype=values.dtype)
-            want = got.copy()
-            backend.scatter_reduce_at(got, idx, values, op)
-            REFERENCE.scatter_reduce_at(want, idx, values, op)
-            assert_bits(got, want, f"scatter_reduce_at[{op}][{tag}]")
+        rng = _rng_for(tag)
+        addresses = rng.integers(0, size, n).astype(np.int64)
+        addresses[rng.random(n) < 0.25] = -1
+        for op, fill in (("add", 0), ("add", 3), ("min", -1), ("max", -1)):
+            want = reference.combine(addresses, values, size, op, fill)
+            for eng in _engines():
+                got = eng.root.raw(addresses, values, size=size, combine=op, fill=fill)
+                assert_bits(got, want, f"raw[{op},fast={eng.fast_path}][{tag}]")
 
-    def test_scans_and_reduce(self, backend, tag, values):
-        if values.ndim != 1 or values.dtype == bool:
-            pytest.skip("scans take 1-D numeric values")
+    @NUMERIC
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_scans_and_reduce(self, reference, tag, values):
+        # (the specials case sums inf and -inf on purpose: NaN bits compare too)
         n = values.shape[0]
         segments = np.sort(_rng_for(tag).integers(0, max(n // 4, 1), n))
+        root = MeshEngine(8).root
         for op in ("add", "min", "max"):
-            assert_bits(
-                backend.accumulate(values, op),
-                REFERENCE.accumulate(values, op),
-                f"accumulate[{op}][{tag}]",
-            )
             for inclusive in (True, False):
                 assert_bits(
-                    backend.segmented_scan(values, segments, op, inclusive),
-                    REFERENCE.segmented_scan(values, segments, op, inclusive),
+                    root.scan(values, op=op, inclusive=inclusive),
+                    reference.scan(values, op, inclusive),
+                    f"scan[{op},{inclusive}][{tag}]",
+                )
+                assert_bits(
+                    root.segmented_scan(values, segments, op=op, inclusive=inclusive),
+                    reference.segmented_scan(values, segments, op, inclusive),
                     f"segscan[{op},{inclusive}][{tag}]",
                 )
             if n:
-                got = backend.reduce(values, op)
-                want = REFERENCE.reduce(values, op)
-                assert np.asarray(got).dtype == np.asarray(want).dtype
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-class TestRegistry:
-    def test_reference_is_registered_default(self):
-        from repro.mesh.backend import backend_default, resolve_backend
-
-        assert "numpy" in registered_backends()
-        assert resolve_backend(None).name == backend_default()
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("no-such-backend")
-
-    def test_compiled_alias_resolves(self):
-        from repro.mesh.backend import resolve_backend
-
-        backend = resolve_backend("compiled")
-        assert backend.name in ("numba", "cffi", "numpy")
-
-    def test_fallback_contract(self):
-        # every registered name must resolve without raising, toolchain or
-        # not, and non-native backends must say why they fell back
-        for name in registered_backends():
-            backend = get_backend(name)
-            assert backend.native or backend.fallback_reason
-
-    def test_engine_env_selection(self, monkeypatch):
-        from repro.mesh.engine import MeshEngine
-
-        monkeypatch.setenv("REPRO_BACKEND", "cffi")
-        assert MeshEngine(4).backend.name == "cffi"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert MeshEngine(4).backend.name == "numpy"
-
-
-class TestEngineChargeParity:
-    """Same primitives, same charges and outputs, whichever backend runs."""
-
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_primitive_sweep_matches_numpy_engine(self, backend, fast_path):
-        from repro.mesh.engine import MeshEngine
-
-        rng = np.random.default_rng(11)
-        vals = rng.integers(-100, 100, 36).astype(np.int64)
-        dest = rng.permutation(36)
-        outs = []
-        for be in ("numpy", backend):
-            eng = MeshEngine(6, fast_path=fast_path, backend=be)
-            r = eng.root
-            keys, moved = r.sort_by(vals, vals * 0.5)
-            (routed,) = r.route(np.where(vals % 5 == 0, -1, dest), vals)
-            (read,) = r.rar(np.abs(vals) % 36, vals * 2.0)
-            summed = r.raw(np.abs(vals) % 36, vals, size=36, combine="add")
-            low = r.raw(np.abs(vals) % 36, vals, size=36, combine="min", fill=-1)
-            scan = r.scan(vals, op="add", inclusive=False)
-            seg = r.segmented_scan(vals, np.abs(vals) % 4, op="max")
-            count, packed = r.compress(vals > 0, vals)
-            total = r.reduce(vals)
-            outs.append(
-                (
-                    eng.clock.time,
-                    count,
-                    total,
-                    *(
-                        a.tobytes()
-                        for a in (keys, moved, routed, read, summed, low, scan, seg, packed)
-                    ),
+                assert_bits(
+                    root.reduce(values, op), reference.reduce(values, op), f"reduce[{op}][{tag}]"
                 )
-            )
-        assert outs[0] == outs[1]
+            elif op == "add":
+                assert_bits(root.reduce(values, op), values.dtype.type(0), f"reduce[{tag}]")
+            else:
+                with pytest.raises(ValueError):
+                    root.reduce(values, op)

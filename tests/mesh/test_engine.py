@@ -1,5 +1,7 @@
 """Tests for the counted-primitive mesh engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,19 @@ class TestRaw:
     def test_unknown_combine_rejected(self, engine8):
         with pytest.raises(ValueError):
             engine8.root.raw(np.arange(64), np.ones(64), size=64, combine="xor")
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_add_int64_min_wraps_like_slow_path(self, fast_path):
+        # |INT64_MIN| overflows in numpy, so a magnitude guard computed
+        # with np.abs would wrongly admit the float64 bincount fast path
+        lo = np.iinfo(np.int64).min
+        vals = np.full(8, lo, dtype=np.int64)
+        eng = MeshEngine(4, fast_path=fast_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = eng.root.raw(np.zeros(8, dtype=np.int64), vals, size=2)
+        assert out.dtype == np.int64
+        assert out.tolist() == [0, 0]  # 8 * INT64_MIN wraps to 0 mod 2**64
 
 
 class TestScanReduceBroadcastCompress:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mesh.engine import MeshEngine
 from repro.mesh.records import (
     ArgsortMemo,
     BufferPool,
@@ -148,6 +149,38 @@ class TestRecordSet:
         np.testing.assert_array_equal(
             o3, np.argsort(rs.field("level"), kind="stable")
         )
+
+
+#: stable argsort must keep input order among tied keys, including the
+#: bit-distinct ``-0.0``/``0.0`` tie, infinities and a max-capacity batch
+TIED_KEYS = [
+    ("empty", np.empty(0, dtype=np.float64)),
+    ("ties-i64", np.array([3, 3, 3, 1, 1, 2, 2, 2, 2], dtype=np.int64)),
+    ("ties-zeros", np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0])),
+    ("all-equal", np.full(64, 5.5)),
+    ("specials", np.array([np.inf, -np.inf, 1.0, -0.0, 0.0, -np.inf, np.inf])),
+    (
+        "max-capacity",
+        np.random.default_rng(20260808).integers(0, 50, 16 * 8 * 8),
+    ),
+]
+
+
+@pytest.mark.parametrize("tag,keys", TIED_KEYS, ids=[t for t, _ in TIED_KEYS])
+@pytest.mark.parametrize("fast_path", [True, False])
+def test_argsort_keeps_input_order_among_ties(tag, keys, fast_path):
+    eng = MeshEngine(8, fast_path=fast_path)
+    orders = [
+        eng.root.argsort(keys),
+        eng.root.sort_records(RecordSet(key=keys, tag=np.arange(keys.size)), "key")
+        .field("tag"),
+    ]
+    for order in orders:
+        assert sorted(order.tolist()) == list(range(keys.size))
+        sk = keys[order]
+        assert (sk[1:] >= sk[:-1]).all()
+        tied = sk[1:] == sk[:-1]
+        assert not (tied & (order[1:] < order[:-1])).any()
 
 
 class TestArgsortMemo:

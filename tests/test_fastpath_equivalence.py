@@ -1,4 +1,4 @@
-"""Property-based fast-path and backend equivalence suite.
+"""Property-based fast-path equivalence suite.
 
 The engine's ``fast_path`` flag may change *how* the host executes the
 simulation (fused blocks, memoized argsorts, pooled buffers, bincount
@@ -7,12 +7,6 @@ the same workload under ``fast_path=True`` and ``fast_path=False`` and
 asserts byte-identical outputs and identical step-clock charges — for each
 counted primitive, for the fused ``*_records`` variants against their
 per-field originals, and end-to-end for the E1/E2 algorithms.
-
-The same discipline gates the kernel backends: every test is
-parameterized over the registered backends (numpy / cffi / numba /
-array_api), so each backend must reproduce the reference byte-for-byte
-through both execution modes and the full algorithms, charges included.
-Backends whose toolchain is missing skip with their fallback reason.
 """
 
 import numpy as np
@@ -26,31 +20,12 @@ from repro.core.splitters import splitting_from_labels
 from repro.graphs.adapters import hierdag_search_structure, ktree_directed_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
 from repro.graphs.ktree import build_balanced_search_tree
-from repro.mesh.backend import get_backend, registered_backends
 from repro.mesh.engine import MeshEngine
 from repro.mesh.records import RecordSet
 
 # long property suite: excluded from tier-1, run nightly (`pytest -m slow`);
 # the fast path stays covered in tier-1 by the bench and engine unit tests
 pytestmark = pytest.mark.slow
-
-
-def _backend_params():
-    params = []
-    for name in registered_backends():
-        be = get_backend(name)
-        marks = ()
-        if not be.native:
-            marks = (
-                pytest.mark.skip(
-                    reason=f"{name} toolchain unavailable: {be.fallback_reason}"
-                ),
-            )
-        params.append(pytest.param(name, marks=marks))
-    return params
-
-
-BACKENDS = _backend_params()
 
 
 @st.composite
@@ -63,11 +38,8 @@ def grid_and_values(draw, max_side=8, lo=-100, hi=100):
     return side, np.array(vals, dtype=np.int64)
 
 
-def both_engines(side, backend="numpy"):
-    return (
-        MeshEngine(side, fast_path=True, backend=backend),
-        MeshEngine(side, fast_path=False, backend=backend),
-    )
+def both_engines(side):
+    return MeshEngine(side, fast_path=True), MeshEngine(side, fast_path=False)
 
 
 def assert_same(fast, slow):
@@ -80,105 +52,79 @@ def assert_same(fast, slow):
         assert fast == slow
 
 
-def deep_same(a, b):
-    """``assert_same`` through tuples (primitive outputs come in both shapes)."""
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            deep_same(x, y)
-    else:
-        assert_same(a, b)
-
-
-def run_both(side, op, backend="numpy"):
-    """``op(region)`` under each mode; returns outputs, asserting equal cost.
-
-    For a non-numpy backend, also replays the op on the numpy reference
-    engine and asserts the backend's slow-mode output and charges match
-    it byte-for-byte — the backend conformance half of the suite.
-    """
-    eng_f, eng_s = both_engines(side, backend)
+def run_both(side, op):
+    """``op(region)`` under each mode; returns outputs, asserting equal cost."""
+    eng_f, eng_s = both_engines(side)
     out_f, out_s = op(eng_f.root), op(eng_s.root)
     assert eng_f.clock.time == eng_s.clock.time
-    if backend != "numpy":
-        ref = MeshEngine(side, fast_path=False)
-        out_ref = op(ref.root)
-        assert ref.clock.time == eng_s.clock.time
-        deep_same(out_s, out_ref)
     return out_f, out_s
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPrimitiveEquivalence:
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_sort_by(self, backend, case):
+    def test_sort_by(self, case):
         side, vals = case
         tag = np.arange(vals.size, dtype=np.int64)
-        fast, slow = run_both(side, lambda r: r.sort_by(vals, tag, vals * 0.5), backend)
+        fast, slow = run_both(side, lambda r: r.sort_by(vals, tag, vals * 0.5))
         for f, s in zip(fast, slow):
             assert_same(f, s)
 
     @given(grid_and_values(), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
-    def test_route(self, backend, case, seed):
+    def test_route(self, case, seed):
         side, vals = case
         n = vals.size
         dest = np.random.default_rng(seed).permutation(n)
         dest[vals % 3 == 0] = -1  # discards exercise the fill path
-        fast, slow = run_both(
-            side, lambda r: r.route(dest, vals, vals * 1.0, fill=0), backend
-        )
+        fast, slow = run_both(side, lambda r: r.route(dest, vals, vals * 1.0, fill=0))
         for f, s in zip(fast, slow):
             assert_same(f, s)
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_rar(self, backend, case):
+    def test_rar(self, case):
         side, vals = case
         n = vals.size
         addr = np.abs(vals) % n
         addr[vals < 0] = -1
-        fast, slow = run_both(side, lambda r: r.rar(addr, vals, vals * 2.0), backend)
+        fast, slow = run_both(side, lambda r: r.rar(addr, vals, vals * 2.0))
         for f, s in zip(fast, slow):
             assert_same(f, s)
 
     @given(grid_and_values(), st.sampled_from(["add", "min", "max"]))
     @settings(max_examples=40, deadline=None)
-    def test_raw_combining(self, backend, case, combine):
+    def test_raw_combining(self, case, combine):
         side, vals = case
         n = vals.size
         addr = np.abs(vals) % n
         addr[::7] = -1
         fast, slow = run_both(
-            side, lambda r: r.raw(addr, vals, size=n, combine=combine, fill=0),
-            backend,
+            side, lambda r: r.raw(addr, vals, size=n, combine=combine, fill=0)
         )
         assert_same(fast, slow)
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_raw_add_with_fill_and_floats(self, backend, case):
+    def test_raw_add_with_fill_and_floats(self, case):
         side, vals = case
         n = vals.size
         addr = np.abs(vals) % n
         # float values take the np.add.at branch in both modes
         fast, slow = run_both(
-            side, lambda r: r.raw(addr, vals * 0.5, size=n, combine="add", fill=3),
-            backend,
+            side, lambda r: r.raw(addr, vals * 0.5, size=n, combine="add", fill=3)
         )
         assert_same(fast, slow)
         fast, slow = run_both(
-            side, lambda r: r.raw(addr, vals, size=n, combine="add", fill=3),
-            backend,
+            side, lambda r: r.raw(addr, vals, size=n, combine="add", fill=3)
         )
         assert_same(fast, slow)
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_compress(self, backend, case):
+    def test_compress(self, case):
         side, vals = case
-        fast, slow = run_both(side, lambda r: r.compress(vals > 0, vals), backend)
+        fast, slow = run_both(side, lambda r: r.compress(vals > 0, vals))
         assert_same(fast[0], slow[0])
         assert_same(fast[1], slow[1])
 
@@ -188,13 +134,12 @@ class TestPrimitiveEquivalence:
         st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_segmented_scan_matches_loop_reference(self, backend, case, op, inclusive):
+    def test_segmented_scan_matches_loop_reference(self, case, op, inclusive):
         side, vals = case
         segs = np.abs(vals) % 4  # grouped-enough: boundaries at id changes
         fast, slow = run_both(
             side,
-            lambda r: r.segmented_scan(vals, segs, op=op, inclusive=inclusive),
-            backend,
+            lambda r: r.segmented_scan(vals, segs, op=op, inclusive=inclusive)
         )
         assert_same(fast, slow)
         # the vectorized implementation against a per-segment python loop
@@ -216,7 +161,6 @@ class TestPrimitiveEquivalence:
         assert_same(fast, want)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFusedRecordEquivalence:
     """``*_records`` fused calls against their per-field counterparts."""
 
@@ -232,10 +176,10 @@ class TestFusedRecordEquivalence:
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_sort_records(self, backend, case):
+    def test_sort_records(self, case):
         side, vals = case
         n, rs = self.cases(vals)
-        eng_f, eng_s = both_engines(side, backend)
+        eng_f, eng_s = both_engines(side)
         fused = eng_f.root.sort_records(rs, "key")
         plain = eng_s.root.sort_by(vals, *rs.arrays())[1:]
         assert eng_f.clock.time == eng_s.clock.time
@@ -244,12 +188,12 @@ class TestFusedRecordEquivalence:
 
     @given(grid_and_values(), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
-    def test_route_records(self, backend, case, seed):
+    def test_route_records(self, case, seed):
         side, vals = case
         n, rs = self.cases(vals)
         dest = np.random.default_rng(seed).permutation(n)
         dest[vals % 3 == 0] = -1
-        eng_f, eng_s = both_engines(side, backend)
+        eng_f, eng_s = both_engines(side)
         fused = eng_f.root.route_records(dest, rs, fill=0)
         plain = eng_s.root.route(dest, *rs.arrays(), fill=0)
         assert eng_f.clock.time == eng_s.clock.time
@@ -258,12 +202,12 @@ class TestFusedRecordEquivalence:
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_rar_records(self, backend, case):
+    def test_rar_records(self, case):
         side, vals = case
         n, rs = self.cases(vals)
         addr = np.abs(vals) % n
         addr[vals < 0] = -1
-        eng_f, eng_s = both_engines(side, backend)
+        eng_f, eng_s = both_engines(side)
         fused = eng_f.root.rar_records(addr, rs, fill=0)
         plain = eng_s.root.rar(addr, *rs.arrays(), fill=0)
         assert eng_f.clock.time == eng_s.clock.time
@@ -272,11 +216,11 @@ class TestFusedRecordEquivalence:
 
     @given(grid_and_values())
     @settings(max_examples=25, deadline=None)
-    def test_compress_records(self, backend, case):
+    def test_compress_records(self, case):
         side, vals = case
         n, rs = self.cases(vals)
         mask = vals > 0
-        eng_f, eng_s = both_engines(side, backend)
+        eng_f, eng_s = both_engines(side)
         count, fused = eng_f.root.compress_records(mask, rs)
         plain = eng_s.root.compress(mask, *rs.arrays())
         assert eng_f.clock.time == eng_s.clock.time
@@ -291,13 +235,12 @@ def assert_query_sets_equal(a: QuerySet, b: QuerySet):
     assert_same(a.state, b.state)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestAlgorithmEquivalence:
     """E1/E2 end-to-end: identical answers AND identical step charges."""
 
     @given(st.integers(4, 7), st.integers(0, 2**31), st.integers(16, 96))
     @settings(max_examples=10, deadline=None)
-    def test_e1_hierdag(self, backend, height, seed, m):
+    def test_e1_hierdag(self, height, seed, m):
         dag, leaf_keys = build_mu_ary_search_dag(2, height, seed=1)
         structure = hierdag_search_structure(dag)
         keys = np.random.default_rng(seed).uniform(
@@ -307,13 +250,8 @@ class TestAlgorithmEquivalence:
         # (per-field) path, the second the warm fused path.  Both must
         # match the slow engine exactly.
         results = []
-        modes = [(True, backend), (True, backend), (False, backend)]
-        if backend != "numpy":
-            modes.append((False, "numpy"))  # the cross-backend reference
-        for fast, be in modes:
-            eng = MeshEngine.for_problem(
-                max(int(dag.size), m), fast_path=fast, backend=be
-            )
+        for fast in (True, True, False):
+            eng = MeshEngine.for_problem(max(int(dag.size), m), fast_path=fast)
             qs = QuerySet.start(keys, 0)
             res = hierdag_multisearch(eng, structure, qs, mu=2.0, c=2)
             results.append((qs, res.mesh_steps, eng.clock.time))
@@ -329,7 +267,7 @@ class TestAlgorithmEquivalence:
         st.sampled_from([0.0, 0.5, 1.0]),
     )
     @settings(max_examples=10, deadline=None)
-    def test_e2_constrained(self, backend, height, seed, skew):
+    def test_e2_constrained(self, height, seed, skew):
         tree = build_balanced_search_tree(2, height, seed=1)
         structure = ktree_directed_structure(tree)
         splitting = splitting_from_labels(
@@ -346,13 +284,8 @@ class TestAlgorithmEquivalence:
         keys[spread] = tree.subtree_lo[starts[spread]] + 1e-9
         # As in E1: cold fast run, warm (fused) fast run, then slow.
         results = []
-        modes = [(True, backend), (True, backend), (False, backend)]
-        if backend != "numpy":
-            modes.append((False, "numpy"))  # the cross-backend reference
-        for fast, be in modes:
-            eng = MeshEngine.for_problem(
-                max(int(tree.size), m), fast_path=fast, backend=be
-            )
+        for fast in (True, True, False):
+            eng = MeshEngine.for_problem(max(int(tree.size), m), fast_path=fast)
             qs = QuerySet.start(keys, starts.copy())
             stats = constrained_multisearch(eng, structure, qs, splitting)
             results.append((qs, stats, eng.clock.time))
